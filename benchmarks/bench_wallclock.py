@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark: fast / quantized backends vs the reference path.
+"""Wall-clock benchmark: GANNS search against its oracle, builds, serving.
 
 Unlike the ``bench_fig*.py`` suite (which measures *simulated* cycles),
 this harness times real host seconds.  Each workload builds its
@@ -15,8 +15,10 @@ speedups.  The result is written as JSON; the committed
 Workload kinds (the paper's Figure 6 batched-search shapes plus the
 Figure 10/11-style construction runs):
 
-- ``ganns_search`` — exact search, reference vs fast; the two backends
-  must return byte-identical neighbor ids (``ids_match``).
+- ``ganns_search`` — exact search: the plain-NumPy oracle
+  ``ganns_search_reference`` (timed as ``reference_seconds``) vs
+  ``ganns_search`` (``fast_seconds``); the two must return
+  byte-identical neighbor ids (``ids_match``).
 - ``quant_search`` — quantized staged search (compressed traversal +
   exact rerank; see ``docs/quantization.md``).  **Lossy**, so instead
   of ``ids_match`` these rows carry honest accounting: recall@10 of
@@ -24,19 +26,20 @@ Figure 10/11-style construction runs):
   (``recall_exact`` / ``recall_quant`` / ``recall_delta``), the
   bytes-per-vector footprint of both representations, and a
   ``deterministic`` flag (two runs byte-identical).
-- ``construction`` — graph builds: GGraphCon NSW reference vs fast
-  (``digest_match`` replaces ``ids_match``), and the CAGRA build as a
-  single-backend timing with a determinism check.
-- ``serve_replay`` — thousands of micro-batches through ServeEngine.
+- ``construction`` — GGraphCon NSW and CAGRA builds: ``build_seconds``
+  plus ``digest_match`` (two builds, one graph digest).
+- ``serve_replay`` — thousands of micro-batches through ServeEngine:
+  ``replay_seconds`` plus ``ids_match`` (two replays, same ids) and
+  the ``compute_dtype`` read back from the served distances.
 
 ``--quick`` runs only the ``smoke`` workload, which the CI perf gate
 (``scripts/check_perf_smoke.py``) requires to stay >= 1.5x.
 ``--quant-smoke`` runs only the ``quant_smoke`` workload for the CI
 quant gate (``scripts/check_quant_smoke.py``): quantized staged search
->= 1.5x over the exact fast backend with recall@10 within 0.02 — the
-reference backend is not timed there, so ``reference_seconds`` is null.
+>= 1.5x over the exact search with recall@10 within 0.02 — the oracle
+is not timed there, so ``reference_seconds`` is null.
 The full set's acceptance baseline requires >= 3x on at least one exact
-workload and >= 4x reference-relative on a quantized d=256 workload
+workload and >= 4x oracle-relative on a quantized d=256 workload
 with recall@10 within 0.01 of exact.
 """
 
@@ -52,13 +55,12 @@ import numpy as np
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.cagra import build_cagra_gpu
 from repro.core.construction import build_nsw_gpu
-from repro.core.ganns import ganns_search
+from repro.core.ganns import ganns_search, ganns_search_reference
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
 from repro.graphs import graph_digest
 from repro.metrics.recall import recall_at_k
-from repro.perf.backend import FAST, REFERENCE
 from repro.perf.quant import quantize_points
 from repro.serve.engine import ServeEngine
 from repro.serve.scheduler import BatchPolicy
@@ -80,6 +82,13 @@ def _best_of(fn, repeats):
     return best, result
 
 
+def _timed_twice(fn, repeats):
+    """Best-of-``repeats`` seconds, the last timed result, and the
+    result of one more run (for a determinism check)."""
+    seconds, first = _best_of(fn, repeats)
+    return seconds, first, fn()
+
+
 def _search_fixture(n, dims, n_queries):
     """One graph + query batch, fig06-style (shared across variants)."""
     points = gaussian_mixture(n, dims, seed=0).astype(np.float32)
@@ -90,18 +99,19 @@ def _search_fixture(n, dims, n_queries):
 
 def _search_workload(name, n, dims, n_queries, l_n, dtype, repeats,
                      fixture=None):
-    """Batched exact GANNS search: reference vs fast, ids must match."""
+    """Batched exact GANNS search: oracle vs ``ganns_search``, ids must
+    match."""
     dtype = np.dtype(dtype)
     graph, points, queries = fixture or _search_fixture(n, dims, n_queries)
+    params = SearchParams(k=K, l_n=l_n)
 
-    def run(backend):
-        params = SearchParams(k=K, l_n=l_n, backend=backend)
+    def run(search):
         return _best_of(
-            lambda: ganns_search(graph, points, queries, params,
-                                 dtype=dtype), repeats)
+            lambda: search(graph, points, queries, params, dtype=dtype),
+            repeats)
 
-    ref_seconds, ref = run(REFERENCE)
-    fast_seconds, fast = run(FAST)
+    ref_seconds, ref = run(ganns_search_reference)
+    fast_seconds, fast = run(ganns_search)
     return {
         "name": name,
         "kind": "ganns_search",
@@ -119,15 +129,16 @@ def _quant_workload(name, fixture, n, dims, n_queries, l_n, quant,
                     ref_seconds=None):
     """Quantized staged search with honest recall/footprint accounting.
 
-    ``fast_seconds``/``ref_seconds`` let callers share exact-path
-    timings measured once per fixture; ``ref_seconds=None`` records the
-    row without a reference-relative speedup (CI quant-smoke mode).
+    ``fast_seconds``/``ref_seconds`` let callers share exact-search and
+    oracle timings measured once per fixture; ``ref_seconds=None``
+    records the row without an oracle-relative speedup (CI quant-smoke
+    mode).
     """
     graph, points, queries = fixture
     gt = exact_knn(points, queries, K, graph.metric_name)
 
     def run(**extra):
-        params = SearchParams(k=K, l_n=l_n, backend=FAST, **extra)
+        params = SearchParams(k=K, l_n=l_n, **extra)
         return _best_of(
             lambda: ganns_search(graph, points, queries, params), repeats)
 
@@ -137,7 +148,7 @@ def _quant_workload(name, fixture, n, dims, n_queries, l_n, quant,
         _, exact_rep = _best_of(
             lambda: ganns_search(
                 graph, points, queries,
-                SearchParams(k=K, l_n=l_n, backend=FAST)), 1)
+                SearchParams(k=K, l_n=l_n)), 1)
     quant_seconds, quant_rep = run(quant=quant, rerank_factor=rerank_factor)
     _, again = run(quant=quant, rerank_factor=rerank_factor)
     deterministic = (quant_rep.ids.tobytes() == again.ids.tobytes()
@@ -174,7 +185,7 @@ def _quant_workload(name, fixture, n, dims, n_queries, l_n, quant,
 def _d256_workloads(repeats):
     """The fig06 d=256 exact row plus quantized variants on one fixture.
 
-    The quantized rows reuse the exact row's reference/fast seconds, so
+    The quantized rows reuse the exact row's oracle/search seconds, so
     every d=256 speedup in the document is measured on the same graph,
     same queries, same machine state.
     """
@@ -195,11 +206,11 @@ def _d256_workloads(repeats):
 
 
 def _quant_smoke_workload(repeats):
-    """The CI quant gate's workload: pca rf=1 vs exact fast, d=256.
+    """The CI quant gate's workload: pca rf=1 vs exact search, d=256.
 
     Wide query batch (m=4000) so the staged path's advantage is well
-    clear of the 1.5x gate; the reference backend is skipped to keep
-    the CI job short.
+    clear of the 1.5x gate; the oracle is skipped to keep the CI job
+    short.
     """
     n, dims, n_queries, l_n = 8000, 256, 4000, 64
     fixture = _search_fixture(n, dims, n_queries)
@@ -209,52 +220,41 @@ def _quant_smoke_workload(repeats):
 
 
 def _nsw_construction_workload(repeats):
-    """GGraphCon NSW build (Figure 10-style): reference vs fast.
+    """GGraphCon NSW build (Figure 10-style): single-path timing.
 
-    The two backends must produce byte-identical adjacency
-    (``digest_match`` — the construction analogue of ``ids_match``).
+    Records best-of-N seconds plus a determinism check: a second build
+    must produce the same graph digest.  (The build's agreement with
+    the per-vertex GGraphCon loops is pinned by the committed digest
+    table ``tests/data/construction_digests.json``.)
     """
     n, dims = 4000, 64
     points = gaussian_mixture(n, dims, seed=0).astype(np.float32)
     params = BuildParams(d_min=8, d_max=16, n_blocks=100)
-
-    def run(backend):
-        return _best_of(
-            lambda: build_nsw_gpu(points, params, backend=backend),
-            repeats)
-
-    ref_seconds, ref = run(REFERENCE)
-    fast_seconds, fast = run(FAST)
+    seconds, first, again = _timed_twice(
+        lambda: build_nsw_gpu(points, params), repeats)
     return {
         "name": "build_nsw_d64",
         "kind": "construction",
         "config": {"n_points": n, "n_dims": dims, "d_min": 8, "d_max": 16,
                    "n_blocks": 100, "dtype": "float32"},
-        "reference_seconds": ref_seconds,
-        "fast_seconds": fast_seconds,
-        "speedup": ref_seconds / fast_seconds,
-        "digest_match": (graph_digest(ref.graph)
-                         == graph_digest(fast.graph)),
+        "build_seconds": seconds,
+        "digest_match": graph_digest(first.graph)
+                        == graph_digest(again.graph),
     }
 
 
 def _cagra_construction_workload():
-    """CAGRA build (Figure 11-style): single-backend timing.
+    """CAGRA build (Figure 11-style): single-path timing.
 
-    ``build_cagra_gpu`` has no reference/fast split, so this row
-    records absolute seconds plus a determinism check (two builds must
+    Records absolute seconds plus a determinism check (two builds must
     produce the same graph digest).
     """
     n, dims = 2000, 64
     points = gaussian_mixture(n, dims, seed=0).astype(np.float32)
     params = BuildParams(d_min=8, d_max=16)
-
-    def run():
-        return build_cagra_gpu(points, params, graph_degree=16,
-                               knn_iterations=4)
-
-    seconds, first = _best_of(run, 1)
-    again = run()
+    seconds, first, again = _timed_twice(
+        lambda: build_cagra_gpu(points, params, graph_degree=16,
+                                knn_iterations=4), 1)
     return {
         "name": "build_cagra_d64",
         "kind": "construction",
@@ -269,13 +269,14 @@ def _cagra_construction_workload():
 def _serve_workload(name, repeats):
     """Serving replay: thousands of micro-batches through ServeEngine.
 
-    The arena cache earns its keep here — every dispatch reuses the
-    same buffers, so the fast path's steady-state allocation rate is
-    near zero.
+    Single-path timing plus a determinism check (a second replay must
+    serve the same ids to every request).  The arena cache earns its
+    keep here — every dispatch reuses the same buffers, so the steady-
+    state allocation rate is near zero.  ``compute_dtype`` is read back
+    from the served distances, not assumed from the float32 points.
     """
-    dtype = np.dtype(np.float32)
-    points = gaussian_mixture(8000, 64, seed=0).astype(dtype)
-    pool = gaussian_mixture(1500, 64, seed=1).astype(dtype)
+    points = gaussian_mixture(8000, 64, seed=0).astype(np.float32)
+    pool = gaussian_mixture(1500, 64, seed=1).astype(np.float32)
     graph = build_nsw_cpu(points, d_min=8, d_max=16).graph
     trace = synthetic_trace(pool, 3000, mean_qps=240_000.0,
                             queries_per_request=4, seed=7)
@@ -283,30 +284,26 @@ def _serve_workload(name, repeats):
     # batched regime, which is where the arena + GEMM path pays off.
     policy = BatchPolicy(max_batch=1024, max_wait_seconds=0.004,
                          max_queue=16384)
+    engine = ServeEngine(graph, points, params=SearchParams(k=K, l_n=64),
+                         policy=policy)
+    seconds, first, again = _timed_twice(lambda: engine.replay(trace),
+                                         repeats)
 
-    def run(backend):
-        engine = ServeEngine(
-            graph, points,
-            params=SearchParams(k=K, l_n=64, backend=backend),
-            policy=policy)
-        return _best_of(lambda: engine.replay(trace), repeats)
+    def served_ids(report):
+        return {o.request_id: o.ids.tobytes()
+                for o in report.outcomes if o.served}
 
-    ref_seconds, ref = run(REFERENCE)
-    fast_seconds, fast = run(FAST)
-    ref_ids = {o.request_id: o.ids.tobytes()
-               for o in ref.outcomes if o.served}
-    fast_ids = {o.request_id: o.ids.tobytes()
-                for o in fast.outcomes if o.served}
+    served = [o for o in first.outcomes if o.served]
     return {
         "name": name,
         "kind": "serve_replay",
         "config": {"n_points": 8000, "n_dims": 64, "n_requests": 3000,
                    "queries_per_request": 4, "l_n": 64,
-                   "max_batch": 1024, "dtype": dtype.name},
-        "reference_seconds": ref_seconds,
-        "fast_seconds": fast_seconds,
-        "speedup": ref_seconds / fast_seconds,
-        "ids_match": ref_ids == fast_ids,
+                   "max_batch": 1024, "points_dtype": "float32"},
+        "compute_dtype": (served[0].dists.dtype.name if served
+                          else None),
+        "replay_seconds": seconds,
+        "ids_match": served_ids(first) == served_ids(again),
     }
 
 
@@ -369,9 +366,10 @@ def print_table(doc):
                   f" {_fmt_seconds(w['fast_seconds'])} {'':>7}"
                   f" {w['speedup']:>7.2f}x {'yes' if ok else 'NO':>3}")
         else:
+            seconds = w.get("build_seconds", w.get("replay_seconds"))
+            ok = w.get("digest_match", w.get("ids_match", False))
             print(f"{w['name']:<22} {'':>9} {'':>7} {'':>7}"
-                  f" {w['build_seconds']:>6.2f}s"
-                  f" {'yes' if w['digest_match'] else 'NO':>3}")
+                  f" {seconds:>6.2f}s {'yes' if ok else 'NO':>3}")
     if doc["best_speedup"] is not None:
         print(f"\nbest speedup: {doc['best_speedup']:.2f}x")
 

@@ -6,8 +6,8 @@ Two halves:
 1. Gate the ``quant_smoke`` row of a ``bench_wallclock.py`` JSON
    document (produced with ``--quant-smoke``):
 
-   - staged search >= 1.5x over the exact **fast** backend (the honest
-     baseline — not the reference path),
+   - staged search >= 1.5x over the exact search (the honest baseline
+     — not the ``ganns_search_reference`` oracle),
    - recall@10 within 0.02 of the exact search on the same fixture,
    - byte-deterministic across two seeded runs.
 
@@ -51,8 +51,8 @@ def check_report(path, min_speedup, max_recall_delta):
         return "quantized search is not deterministic across runs"
     if row["speedup_vs_fast"] < min_speedup:
         return (f"quant speedup {row['speedup_vs_fast']:.2f}x over the "
-                f"exact fast backend is below the {min_speedup:.2f}x "
-                f"floor (fast {row['fast_seconds']:.2f}s, quant "
+                f"exact search is below the {min_speedup:.2f}x "
+                f"floor (exact {row['fast_seconds']:.2f}s, quant "
                 f"{row['quant_seconds']:.2f}s)")
     if row["recall_delta"] > max_recall_delta:
         return (f"recall@10 delta {row['recall_delta']:+.4f} exceeds "
@@ -88,8 +88,7 @@ def check_observability():
     def replay(quant):
         engine = ServeEngine(
             graph, points,
-            params=SearchParams(k=10, l_n=32, backend="fast",
-                                quant=quant),
+            params=SearchParams(k=10, l_n=32, quant=quant),
             policy=policy)
         return engine.replay(trace)
 
@@ -125,8 +124,8 @@ def main(argv=None):
     parser.add_argument("report", help="bench_wallclock.py --quant-smoke "
                         "JSON output")
     parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="floor on quant speedup over the exact fast "
-                        "backend (default 1.5)")
+                        help="floor on quant speedup over the exact "
+                        "search (default 1.5)")
     parser.add_argument("--max-recall-delta", type=float, default=0.02,
                         help="ceiling on recall@10 lost to quantization "
                         "(default 0.02)")
@@ -143,7 +142,7 @@ def main(argv=None):
         doc = json.load(handle)
     row = {w["name"]: w for w in doc["workloads"]}["quant_smoke"]
     print(f"quant smoke ok: {row['speedup_vs_fast']:.2f}x over exact "
-          f"fast, recall@10 delta {row['recall_delta']:+.4f}, "
+          f"search, recall@10 delta {row['recall_delta']:+.4f}, "
           f"{row['bytes_per_vector_quant']:.0f} B/vec "
           f"({row['footprint_reduction']:.1f}x smaller), deterministic; "
           f"serve metrics reconciled")

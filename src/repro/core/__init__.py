@@ -4,7 +4,8 @@
 - :mod:`repro.core.results` — search reports with per-phase cycle
   accounting and throughput conversion.
 - :mod:`repro.core.ganns` — the 6-phase GPU-friendly search (lazy update +
-  lazy check), batched across queries in lock-step.
+  lazy check), batched across queries in lock-step, and its
+  phase-by-phase oracle ``ganns_search_reference``.
 - :mod:`repro.core.ganns_kernel` — a faithful single-query kernel built
   from warp primitives and the bitonic networks; the reference the batched
   path is tested against.

@@ -16,17 +16,21 @@ Each iteration runs the six phases of Figure 3: (1) candidate locating via
 ballot/ffs, (2) neighborhood exploration, (3) bulk distance computation,
 (4) lazy check, (5) bitonic sort of ``T``, (6) bitonic merge into ``N``.
 
-This module is the *batched* implementation: all queries advance in
-lock-step (exactly how a grid of thread blocks executes), every phase is a
-vectorised NumPy operation over the active queries, and each query's lane
-in the cycle tracker is charged with the paper's per-phase cost formulas.
-The faithful single-query kernel assembled from warp primitives lives in
-:mod:`repro.core.ganns_kernel`; the test suite proves the two agree.
+The search is *batched*: all queries advance in lock-step (exactly how a
+grid of thread blocks executes), every phase is a vectorised NumPy
+operation over the active queries, and each query's lane in the cycle
+tracker is charged with the paper's per-phase cost formulas.
+:func:`ganns_search` validates its arguments and runs the arena-backed
+loop of :mod:`repro.perf.engine`.  :func:`ganns_search_reference` is the
+same loop written out phase by phase; it is an oracle that only tests
+and the wall-clock benchmark call.  The faithful single-query kernel
+assembled from warp primitives lives in :mod:`repro.core.ganns_kernel`;
+the test suite proves all three agree.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,13 +40,13 @@ from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
-from repro.perf.backend import FAST, resolve_backend
 from repro.perf.distance import resolve_compute_dtype
 from repro.perf.quant import resolve_quant
 
 #: Safety cap on iterations, as a multiple of the explore budget; the
 #: search provably terminates long before this — hitting the cap means a
-#: broken graph (e.g. corrupted adjacency) and raises.
+#: broken graph (e.g. corrupted adjacency) and raises.  The engine
+#: imports it, so the engine and the oracle give up at the same point.
 _MAX_ITERATION_FACTOR = 64
 
 
@@ -103,6 +107,50 @@ def _group_distance_fn(metric_name: str, points: np.ndarray,
     raise SearchError(f"unsupported metric for GANNS search: {metric_name!r}")
 
 
+def _validate_search_inputs(graph: ProximityGraph, points: np.ndarray,
+                            queries: np.ndarray,
+                            entry: Union[int, np.ndarray],
+                            dtype: Optional[object]
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       np.dtype]:
+    """Shared argument checks of :func:`ganns_search` and its oracle.
+
+    Returns ``(points, queries, entries, compute_dtype)`` with
+    ``entries`` broadcast to one id per query.
+    """
+    points = np.asarray(points)
+    queries = np.asarray(queries)
+    if queries.ndim != 2:
+        raise SearchError(
+            f"queries must be 2-D (n_queries, d), got shape {queries.shape}"
+        )
+    if points.ndim != 2 or points.shape[1] != queries.shape[1]:
+        raise SearchError(
+            f"points {points.shape} and queries {queries.shape} disagree "
+            f"on dimensionality"
+        )
+    if len(queries) == 0:
+        raise SearchError("queries must not be empty")
+    finite_rows = np.isfinite(queries).all(axis=1)
+    if not finite_rows.all():
+        bad = np.flatnonzero(~finite_rows)
+        raise SearchError(
+            f"queries must be finite: {len(bad)} row(s) hold NaN or inf "
+            f"(first is row {bad[0]})"
+        )
+    compute_dtype = resolve_compute_dtype(points, queries, dtype)
+
+    # Entries are never mutated by the search, so the read-only
+    # broadcast view is enough.
+    entries = np.broadcast_to(np.asarray(entry, dtype=np.int64),
+                              (len(queries),))
+    if entries.min() < 0 or entries.max() >= graph.n_vertices:
+        raise SearchError(
+            f"entry vertices must lie in [0, {graph.n_vertices})"
+        )
+    return points, queries, entries, compute_dtype
+
+
 def ganns_search(graph: ProximityGraph, points: np.ndarray,
                  queries: np.ndarray, params: SearchParams,
                  entry: Union[int, np.ndarray] = 0,
@@ -111,18 +159,21 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
                  dtype: Optional[object] = None) -> SearchReport:
     """Batched GANNS search: one simulated thread block per query.
 
+    Runs the arena-backed search of :mod:`repro.perf.engine`.  Its ids,
+    iteration counts and per-lane cycle charges equal those of the
+    plain-NumPy oracle :func:`ganns_search_reference`; euclidean
+    distances may differ from it in the last ulp (GEMM norm expansion).
+
     Args:
         graph: Proximity graph over ``points`` (``l_t`` is its ``d_max``).
         points: ``(n, d)`` data matrix.
-        queries: ``(m, d)`` query matrix.
-        params: Search parameters (``k``, ``l_n``, ``e``, ``n_threads``);
-            ``params.backend`` (or the ``REPRO_BACKEND`` environment
-            variable) selects the execution backend — results and cycle
-            charges are backend-independent.  ``params.quant`` (or the
-            ``REPRO_QUANT`` environment variable) instead switches to
-            the lossy two-stage quantized pipeline: compressed
-            traversal over ``rerank_factor * l_n`` candidates, exact
-            rerank before top-k (see :mod:`repro.perf.quant`).
+        queries: ``(m, d)`` query matrix; every value must be finite.
+        params: Search parameters (``k``, ``l_n``, ``e``, ``n_threads``).
+            ``params.quant`` (or the ``REPRO_QUANT`` environment
+            variable) switches to the lossy two-stage quantized
+            pipeline: compressed traversal over ``rerank_factor * l_n``
+            candidates, exact rerank before top-k (see
+            :mod:`repro.perf.quant`).
         entry: Start vertex, or a per-query ``(m,)`` id array (as produced
             by an HNSW top-down descent).
         costs: Cycle cost table.
@@ -136,53 +187,54 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
 
     Returns:
         A :class:`repro.core.results.SearchReport`.
+
+    Raises:
+        SearchError: On malformed or non-finite queries, bad entry
+            vertices, mixed dtypes or a structurally corrupt graph.
     """
-    points = np.asarray(points)
-    queries = np.asarray(queries)
-    if queries.ndim != 2:
-        raise SearchError(
-            f"queries must be 2-D (n_queries, d), got shape {queries.shape}"
-        )
-    if points.ndim != 2 or points.shape[1] != queries.shape[1]:
-        raise SearchError(
-            f"points {points.shape} and queries {queries.shape} disagree "
-            f"on dimensionality"
-        )
+    points, queries, entries, compute_dtype = _validate_search_inputs(
+        graph, points, queries, entry, dtype)
+    # Imported here because repro.perf.engine imports this module.
+    # Calls go through the module attribute, so a wrapper installed on
+    # it (a profiler, a tracer) sees every search.
+    from repro.perf import engine
+
+    quant_mode = resolve_quant(params.quant)
+    if quant_mode is not None:
+        return engine.ganns_search_staged(graph, points, queries, params,
+                                          entries, costs, lazy_check,
+                                          compute_dtype, quant_mode)
+    return engine.ganns_search_fast(graph, points, queries, params,
+                                    entries, costs, lazy_check,
+                                    compute_dtype)
+
+
+def ganns_search_reference(graph: ProximityGraph, points: np.ndarray,
+                           queries: np.ndarray, params: SearchParams,
+                           entry: Union[int, np.ndarray] = 0,
+                           costs: CostTable = DEFAULT_COSTS,
+                           lazy_check: bool = True,
+                           dtype: Optional[object] = None
+                           ) -> SearchReport:
+    """The batched GANNS loop written out phase by phase: the oracle.
+
+    One allocation per conceptual buffer, ``lexsort`` sorts and merges,
+    ``(a - b)^2`` euclidean distances — deliberately transparent, not
+    fast.  Nothing in the package calls it; the test suite pins
+    :func:`ganns_search` to it (identical ids, iterations and per-lane
+    cycle charges), alongside the warp-level kernel of
+    :mod:`repro.core.ganns_kernel` and brute force.  Same arguments as
+    :func:`ganns_search`; it is exact only, so ``params.quant`` and
+    ``params.rerank_factor`` are ignored.
+    """
+    points, queries, entries, compute_dtype = _validate_search_inputs(
+        graph, points, queries, entry, dtype)
     n_queries = len(queries)
-    if n_queries == 0:
-        raise SearchError("queries must not be empty")
     n_dims = points.shape[1]
     l_n = params.l_n
     l_t = graph.d_max
     e_budget = min(params.explore_budget, l_n)
     n_t = params.n_threads
-    compute_dtype = resolve_compute_dtype(points, queries, dtype)
-
-    # Entries are never mutated by either backend, so the read-only
-    # broadcast view is enough.
-    entries = np.broadcast_to(np.asarray(entry, dtype=np.int64),
-                              (n_queries,))
-    if entries.min() < 0 or entries.max() >= graph.n_vertices:
-        raise SearchError(
-            f"entry vertices must lie in [0, {graph.n_vertices})"
-        )
-
-    quant_mode = resolve_quant(params.quant)
-    if quant_mode is not None:
-        # The staged pipeline is built from the fast backend's machinery
-        # (arena + GEMM engines) regardless of params.backend — a
-        # "reference quantized" path would be a third implementation
-        # with nothing to be a reference *for*: the staged search is
-        # lossy by design and reported as such.
-        from repro.perf.engine import ganns_search_staged
-        return ganns_search_staged(graph, points, queries, params,
-                                   entries, costs, lazy_check,
-                                   compute_dtype, quant_mode)
-
-    if resolve_backend(params.backend) == FAST:
-        from repro.perf.engine import ganns_search_fast
-        return ganns_search_fast(graph, points, queries, params, entries,
-                                 costs, lazy_check, compute_dtype)
 
     tracker = make_search_tracker(n_queries, "ganns")
     distance_fn = _group_distance_fn(graph.metric_name, points, queries,

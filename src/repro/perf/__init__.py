@@ -1,16 +1,14 @@
-"""Wall-clock fast path: arena-backed execution of the GANNS kernels.
+"""Arena-backed execution of the GANNS and GGraphCon kernels.
 
 The simulator charges *simulated* cycles faithfully, but the real
 wall-clock of :func:`repro.core.ganns.ganns_search` and
 :func:`repro.core.construction.build_nsw_gpu` is dominated by avoidable
 Python/NumPy overhead — per-iteration ``np.concatenate`` churn, float64
 upcasts of float32 data, ``lexsort`` over already-sorted runs, and
-``(m, l_t, l_n)`` broadcast scans.  This package is the opt-in ``fast``
-execution backend that removes that overhead while preserving results
-and per-phase cycle charges:
+``(m, l_t, l_n)`` broadcast scans.  This package is the one batched
+execution path; it removes that overhead while preserving results and
+per-phase cycle charges:
 
-- :mod:`repro.perf.backend` — backend selection
-  (``SearchParams.backend`` / ``REPRO_BACKEND``; reference by default);
 - :mod:`repro.perf.arena` — preallocated, reusable search buffers with
   active-query compaction;
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
@@ -25,22 +23,16 @@ and per-phase cycle charges:
   GGraphCon;
 - :mod:`repro.perf.descent` — batched HNSW entry descent.
 
-The cross-backend equivalence suite (``tests/test_perf_equivalence.py``
-and ``tests/test_perf_properties.py``) pins that the fast backend
-returns the same neighbor ids, the same iteration counts and *exactly*
-the same per-phase cycle charges as the reference path; distances agree
-to dtype-scaled tolerance (the GEMM expansion of the euclidean metric
+The oracle suite (``tests/test_perf_equivalence.py`` and
+``tests/test_perf_properties.py``) pins that it returns the same
+neighbor ids, the same iteration counts and *exactly* the same
+per-phase cycle charges as the plain-NumPy oracle
+:func:`repro.core.ganns.ganns_search_reference`; distances agree to
+dtype-scaled tolerance (the GEMM expansion of the euclidean metric
 rounds differently in the last bits).  See ``docs/performance.md``.
 """
 
 from repro.perf.arena import SearchArena, get_arena
-from repro.perf.backend import (
-    BACKEND_ENV_VAR,
-    FAST,
-    REFERENCE,
-    VALID_BACKENDS,
-    resolve_backend,
-)
 from repro.perf.descent import hnsw_entry_descent_batch
 from repro.perf.distance import make_distance_engine, resolve_compute_dtype
 from repro.perf.quant import (
@@ -54,21 +46,16 @@ from repro.perf.quant import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "FAST",
     "QUANT_ENV_VAR",
     "QUANT_MODES",
     "QUANT_OFF",
     "QuantizedTable",
-    "REFERENCE",
-    "VALID_BACKENDS",
     "VALID_QUANTS",
     "SearchArena",
     "get_arena",
     "hnsw_entry_descent_batch",
     "make_distance_engine",
     "quantize_points",
-    "resolve_backend",
     "resolve_compute_dtype",
     "resolve_quant",
 ]

@@ -1,6 +1,7 @@
 """Preallocated, reusable buffers for the arena-backed GANNS search.
 
-The reference search allocates fresh arrays every iteration: two
+The oracle search (:func:`repro.core.ganns.ganns_search_reference`)
+allocates fresh arrays every iteration: two
 ``np.concatenate`` calls build the ``(m, l_n + l_t)`` merge input, every
 phase gathers ``pool[act]`` into a new array, and the results scatter
 back.  A :class:`SearchArena` removes all of that:
@@ -12,7 +13,7 @@ back.  A :class:`SearchArena` removes all of that:
   finish, survivors are copied up once and finished queries never pay
   gather costs again.  ``query_rows[:m]`` maps compact rows back to the
   caller's query indices (always sorted ascending, so cycle charges hit
-  the tracker with exactly the lane sets the reference path uses).
+  the tracker with exactly the lane sets the oracle uses).
 
 Arenas are cached per ``(l_n, l_t, dtype)`` shape class and reused
 across search calls when capacity allows — the serving engine dispatches

@@ -1,11 +1,13 @@
-"""Batched insert/merge kernels for GGraphCon's fast backend.
+"""Batched insert/merge kernels for GGraphCon.
 
-:func:`repro.core.construction.build_nsw_gpu` spends most of its
-wall-clock in three per-element Python loops: the bidirectional
-``insert_edge`` loop of local construction, the per-vertex ``N ∪ N'``
-merge + edge emission of merge Step 1, and the per-segment
-``merge_row`` loop of merge Step 3.  The helpers here vectorise each
-loop over its whole frontier while producing *the same graph state*:
+Written per element, :func:`repro.core.construction.build_nsw_gpu`
+would spend most of its wall-clock in three Python loops: the
+bidirectional ``insert_edge`` loop of local construction, the
+per-vertex ``N ∪ N'`` merge + edge emission of merge Step 1, and the
+per-segment ``merge_row`` loop of merge Step 3.  The helpers here
+vectorise each loop over its whole frontier while producing *the same
+graph state* (``tests/data/construction_digests.json`` pins the builds
+to digests the per-element loops produced):
 
 - sequential inserts into an empty row equal a sort-then-write;
 - the one-element sorted insert has a closed-form position

@@ -1,8 +1,8 @@
-"""Batched HNSW entry descent for the fast backend.
+"""Batched HNSW entry descent.
 
-:meth:`repro.core.index.GannsIndex._entries` runs one greedy top-down
-descent per query, in Python, before every HNSW search — for small
-micro-batches that loop costs as much as the search itself.  This module
+Every HNSW search (:meth:`repro.core.index.GannsIndex._entries`) first
+descends greedily from the top layer; one Python loop per query would
+cost as much as the search itself on small micro-batches.  This module
 walks all queries in lock-step: each pass gathers the current vertices'
 adjacency rows for every still-walking query at once and evaluates the
 candidate distances with one einsum.

@@ -1,6 +1,6 @@
-"""GEMM-style distance engines for the fast execution backend.
+"""GEMM-style distance engines for the batched GANNS search.
 
-The reference :func:`repro.core.ganns._group_distance_fn` re-casts the
+The oracle's :func:`repro.core.ganns._group_distance_fn` re-casts the
 whole point matrix to float64 on every search invocation and, for the
 euclidean metric, materialises a ``(m, l_t, d)`` difference tensor per
 iteration.  The engines here remove both costs:
@@ -19,11 +19,11 @@ iteration.  The engines here remove both costs:
   extends a point matrix's lifetime.
 
 Numerical contract: cosine and inner-product evaluation is the *same*
-arithmetic as the reference (bit-identical results); the euclidean norm
+arithmetic as the oracle (bit-identical results); the euclidean norm
 expansion is algebraically equal but rounds differently in the last
 ~2 ulp, so distances agree to a dtype-scaled tolerance and neighbor
 *identities* agree whenever candidate distance gaps exceed that noise —
-which the cross-backend equivalence suite enforces on every covered
+which the oracle equivalence suite enforces on every covered
 workload.
 """
 

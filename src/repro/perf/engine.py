@@ -1,7 +1,11 @@
-"""Arena-backed GANNS search: the ``fast`` execution backend.
+"""Arena-backed GANNS search: the one batched search implementation.
 
-Same six phases, same cycle charges, same results as
-:func:`repro.core.ganns.ganns_search` — different execution strategy:
+:func:`repro.core.ganns.ganns_search` validates its arguments and runs
+:func:`ganns_search_fast` (or, under quantization,
+:func:`ganns_search_staged`).  Same six phases, same cycle charges,
+same results as the plain-NumPy oracle
+:func:`repro.core.ganns.ganns_search_reference` — different execution
+strategy:
 
 - work buffers come from a reused :class:`repro.perf.arena.SearchArena`;
   active queries occupy compact rows and finished queries are scattered
@@ -19,17 +23,18 @@ Same six phases, same cycle charges, same results as
 
 Equivalence contract (enforced by ``tests/test_perf_equivalence.py``):
 ids, iteration counts and per-phase cycle charges are *identical* to the
-reference path — the charge calls below are issued with the same lane
-sets, the same amounts and in the same order, so tracker listeners (e.g.
-the serve engine's mirrors) observe identical streams.  The merge tie
+oracle — the charge calls below are issued with the same lane sets,
+the same amounts and in the same order, so tracker listeners (e.g. the
+serve engine's mirrors) observe identical streams.  The merge tie
 rule ``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))``
 reproduces the reference lexsort's stability exactly (pool entries win
 ties against T entries).  Distances are bit-identical for cosine/ip and
 agree to last-ulp rounding for euclidean (GEMM norm expansion).
 
 NaN distances are outside the contract: the reference lexsort and this
-merge may order NaNs differently.  Finite inputs — which every dataset
-loader and generator in this repo produces — never hit that case.
+merge may order NaNs differently.  ``ganns_search`` rejects non-finite
+queries before dispatch; non-finite *points* stay outside the contract
+(every dataset loader and generator in this repo produces finite ones).
 
 The traversal loop itself is engine-agnostic (:func:`_traverse`): it
 runs identically over the exact :class:`GroupDistanceEngine` and over a
@@ -47,6 +52,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from repro.core.ganns import _MAX_ITERATION_FACTOR
 from repro.core.params import SearchParams
 from repro.core.results import SearchReport, make_search_tracker
 from repro.errors import SearchError
@@ -57,10 +63,6 @@ from repro.perf.arena import get_arena, get_rerank_scratch
 from repro.perf.distance import make_distance_engine
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
     quantize_points
-
-#: Mirrors repro.core.ganns._MAX_ITERATION_FACTOR — the two backends
-#: must give up (and raise) at exactly the same point.
-_MAX_ITERATION_FACTOR = 64
 
 #: Batch width at which the merge switches from the rank strategy (few
 #: NumPy calls, O(l_n * l_t) element work) to the step strategy
@@ -79,7 +81,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     """Run the six-phase GANNS loop over ``engine`` until every query
     retires.
 
-    Engine-agnostic core shared by the exact fast path and the staged
+    Engine-agnostic core shared by the exact search and the staged
     quantized path.  The pool is ``l_pool`` wide but only the first
     ``e_budget`` slots are candidates for exploration — the staged
     search widens the pool (candidate over-fetch) without widening the
@@ -377,7 +379,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
                       costs: CostTable,
                       lazy_check: bool,
                       compute_dtype: np.dtype) -> SearchReport:
-    """Run the batched GANNS search on the fast backend.
+    """Run the batched GANNS search.
 
     Called by :func:`repro.core.ganns.ganns_search` after argument
     validation; ``entries`` is the already-broadcast ``(m,)`` entry-id

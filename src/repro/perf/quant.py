@@ -25,8 +25,8 @@ Three representations, selected by ``SearchParams(quant=...)`` or the
   shrinks by ``d / rank``, which is how the staged pipeline clears the
   4x wall-clock target on the d=256 workload.
 
-**Honesty contract**: all three are lossy.  Unlike ``backend="fast"``
-(byte-identical results), a quantized traversal can rank candidates
+**Honesty contract**: all three are lossy.  Unlike the exact search
+(identical ids to its oracle), a quantized traversal can rank candidates
 differently from the exact kernel, so the staged pipeline must rerank
 and the harnesses must report recall deltas (``bench_wallclock.py``
 ``recall_delta`` columns, the conformance suite's per-family

