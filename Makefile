@@ -18,18 +18,20 @@ bench:
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Regenerate the committed wall-clock baseline (fast vs reference).
+# Regenerate the committed wall-clock baseline (ganns_search against
+# its oracle ganns_search_reference).
 bench-wallclock:
 	$(PYTHON) benchmarks/bench_wallclock.py --output BENCH_wallclock.json
 
-# The CI perf gate: quick workload, fast must stay >= 1.5x reference.
+# The CI perf gate: quick workload, ganns_search must stay >= 1.5x
+# faster than its oracle ganns_search_reference, with identical ids.
 perf-smoke:
 	$(PYTHON) benchmarks/bench_wallclock.py --quick \
 		--output wallclock_smoke.json
 	$(PYTHON) scripts/check_perf_smoke.py wallclock_smoke.json
 
-# The CI quant gate: quantized staged search >= 1.5x over the exact
-# fast backend, recall@10 within 0.02, deterministic, and serve-replay
+# The CI quant gate: quantized staged search >= 1.5x over exact
+# ganns_search, recall@10 within 0.02, deterministic, and serve-replay
 # quant metrics reconcile with zero drift.
 quant-smoke:
 	$(PYTHON) benchmarks/bench_wallclock.py --quant-smoke \

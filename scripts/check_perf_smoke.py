@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """CI gate over a ``bench_wallclock.py`` JSON document.
 
-Asserts that (a) every exact workload's backends agreed — neighbor ids
-for searches, graph digests for constructions — and (b) the smoke
-workload's fast-over-reference speedup clears the floor (default 1.5x,
-per the perf-regression contract in ``docs/performance.md``).
-Quantized workloads are lossy by design and have their own gate
+Asserts that (a) every exact workload agreed — search rows returned
+the neighbor ids of their oracle ``ganns_search_reference`` (the serve
+replay row: of a second replay), construction rows built one graph
+digest twice — and (b) the smoke workload's speedup of
+``ganns_search`` over its oracle clears the floor (default 1.5x, per
+the perf-regression contract in ``docs/performance.md``).  Quantized
+workloads are lossy by design and have their own gate
 (``scripts/check_quant_smoke.py``); here they only need their
 ``deterministic`` flag set.  Exits non-zero with a diagnostic
 otherwise.

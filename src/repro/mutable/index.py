@@ -65,6 +65,18 @@ def _grown_graph(graph: ProximityGraph, n_new: int) -> ProximityGraph:
     return grown
 
 
+def _require_finite(points: np.ndarray, what: str) -> None:
+    """Refuse NaN/±inf coordinates before they reach the durable store.
+
+    A non-finite point poisons the WAL: the insert record replays on
+    every recovery, so the check runs before ``store.append``.
+    """
+    if not np.isfinite(points).all():
+        raise MutableIndexError(
+            f"{what} holds non-finite coordinates (NaN or inf); "
+            f"nothing was written")
+
+
 class MutableIndex:
     """A proximity-graph index that accepts inserts and deletes online.
 
@@ -126,6 +138,9 @@ class MutableIndex:
                 :class:`~repro.errors.UnsupportedOperationError` here,
                 eagerly, instead of corrupting a batch-built graph
                 mid-mutation.
+
+        Raises:
+            MutableIndexError: ``points`` holds a NaN or ±inf value.
         """
         from repro.core.backend import get_backend
         from repro.errors import UnsupportedOperationError
@@ -137,6 +152,7 @@ class MutableIndex:
                 f"snapshot-and-rebuild) instead, or use family 'nsw'"
             )
         points = np.ascontiguousarray(points, dtype=np.float64)
+        _require_finite(points, "seed corpus")
         store = DurableStore()
         store.meta = {
             "d_min": params.d_min, "d_max": params.d_max,
@@ -245,7 +261,10 @@ class MutableIndex:
 
         The intent record lands in the WAL *before* the graph mutates:
         a crash mid-apply loses only volatile state, and recovery
-        replays the record to the identical result.
+        replays the record to the identical result.  A batch with a
+        wrong dimensionality or any NaN/±inf coordinate raises
+        :class:`~repro.errors.MutableIndexError` before anything is
+        written.
         """
         new_points = np.ascontiguousarray(np.atleast_2d(new_points),
                                           dtype=np.float64)
@@ -253,6 +272,7 @@ class MutableIndex:
             raise MutableIndexError(
                 f"insert dimensionality {new_points.shape[1]} != index "
                 f"dimensionality {self.points.shape[1]}")
+        _require_finite(new_points, "insert batch")
         self.store.append(OP_INSERT, now, points=new_points)
         return self._apply_insert(new_points, now, tracer=tracer,
                                   metrics=metrics)

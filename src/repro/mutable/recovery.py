@@ -63,10 +63,19 @@ def recover(store: DurableStore,
     Returns:
         A :class:`MutableIndex` whose digest equals a clean replay of
         the surviving log.
+
+    Raises:
+        MutableIndexError: The store cannot be replayed, e.g. an insert
+            record (named by its LSN) holds non-finite points.
     """
     span = tracer.begin("recovery.replay", now,
                         lane="mutate") if tracer else None
     records = store.surviving_records()
+    for record in records:
+        if record.op == OP_INSERT and not np.isfinite(record.points).all():
+            raise MutableIndexError(
+                f"WAL insert record at LSN {record.lsn} holds non-finite "
+                f"points; refusing to replay it")
     if store.checkpoint is not None:
         index = MutableIndex.from_checkpoint_bytes(
             store.checkpoint, store, device=device, costs=costs)

@@ -3,14 +3,17 @@
 The simulator charges *simulated* cycles faithfully, but the real
 wall-clock of :func:`repro.core.ganns.ganns_search` and
 :func:`repro.core.construction.build_nsw_gpu` is dominated by avoidable
-Python/NumPy overhead — per-iteration ``np.concatenate`` churn, float64
-upcasts of float32 data, ``lexsort`` over already-sorted runs, and
-``(m, l_t, l_n)`` broadcast scans.  This package is the one batched
-execution path; it removes that overhead while preserving results and
-per-phase cycle charges:
+Python/NumPy overhead — per-phase gathers of every active query's
+pool, float64 upcasts of float32 data, two ``lexsort`` passes per
+iteration, and ``(m, l_t, l_n)`` broadcast scans.  This package is the
+one batched execution path; it removes that overhead while preserving
+results and per-phase cycle charges:
 
 - :mod:`repro.perf.arena` — preallocated, reusable search buffers with
   active-query compaction;
+- :mod:`repro.perf.ordering` — the one stable ``(dist, id)`` pair sort
+  behind GANNS phases 5–6, the staged rerank and the GGraphCon row
+  merges;
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
   engines with precomputed norms;
 - :mod:`repro.perf.engine` — the arena-backed GANNS search loop, plus

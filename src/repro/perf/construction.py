@@ -30,6 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
+from repro.perf.ordering import pair_argsort
 
 
 def _dedup_rows(ids: np.ndarray, dists: np.ndarray, limit: int,
@@ -52,7 +53,7 @@ def _dedup_rows(ids: np.ndarray, dists: np.ndarray, limit: int,
     # Sort by (id, dist): duplicates of an id become adjacent with the
     # minimum-distance record first — the record np.unique's
     # return_index keeps on a (dist, id)-sorted run.
-    order = np.lexsort((dists, ids), axis=1)
+    order = pair_argsort(ids, dists)
     ids_s = np.take_along_axis(ids, order, axis=1)
     dists_s = np.take_along_axis(dists, order, axis=1)
     dup = np.zeros(ids_s.shape, dtype=bool)
@@ -61,7 +62,7 @@ def _dedup_rows(ids: np.ndarray, dists: np.ndarray, limit: int,
     pad_cols = pad_base + width + np.arange(width, dtype=np.int64)
     ids_s = np.where(dup, pad_cols[None, :], ids_s)
     dists_s = np.where(dup, np.inf, dists_s)
-    order = np.lexsort((ids_s, dists_s), axis=1)
+    order = pair_argsort(dists_s, ids_s)
     ids_f = np.take_along_axis(ids_s, order, axis=1)[:, :limit]
     dists_f = np.take_along_axis(dists_s, order, axis=1)[:, :limit]
     return ids_f, dists_f, ids_f < pad_base
@@ -80,7 +81,7 @@ def insert_bidirectional_batch(graph: ProximityGraph, vertex: int,
     d_max = graph.d_max
     # Forward: inserting k <= d_max records into an empty row one by one
     # just builds the (dist, id)-sorted row.
-    order = np.lexsort((neighbor_ids, dists))
+    order = pair_argsort(dists, neighbor_ids)
     count = len(order)
     graph.neighbor_ids[vertex, :count] = neighbor_ids[order]
     graph.neighbor_dists[vertex, :count] = dists[order]

@@ -17,22 +17,24 @@ strategy:
 - phase 4's duplicate check runs as a row-offset ``searchsorted`` over
   id-sorted pool rows — O(l_t log l_n) per query instead of the
   reference's ``(m, l_t, l_n)`` broadcast equality;
-- phase 6's merge is a rank-based two-run merge — one broadcast
-  comparison prices every record's merged position, instead of a
-  ``lexsort`` over ``l_n + l_t`` keys.
+- phases 5 and 6 (sort T, merge it into the pool) are one stable
+  ``(dist, id)`` sort of each ``[pool | T]`` row through
+  :func:`repro.perf.ordering.pair_argsort` — one complex-key argsort
+  instead of the oracle's two ``lexsort`` passes, and only over rows
+  whose T still holds a live record.
 
 Equivalence contract (enforced by ``tests/test_perf_equivalence.py``):
 ids, iteration counts and per-phase cycle charges are *identical* to the
 oracle — the charge calls below are issued with the same lane sets,
 the same amounts and in the same order, so tracker listeners (e.g. the
-serve engine's mirrors) observe identical streams.  The merge tie
-rule ``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))``
-reproduces the reference lexsort's stability exactly (pool entries win
-ties against T entries).  Distances are bit-identical for cosine/ip and
-agree to last-ulp rounding for euclidean (GEMM norm expansion).
+serve engine's mirrors) observe identical streams.  The sort's
+stability reproduces the oracle lexsort's tie rule exactly (pool
+entries win ties against T entries on equal ``(dist, id)``).
+Distances are bit-identical for cosine/ip and agree to last-ulp
+rounding for euclidean (GEMM norm expansion).
 
-NaN distances are outside the contract: the reference lexsort and this
-merge may order NaNs differently.  ``ganns_search`` rejects non-finite
+NaN distances are outside the contract: the oracle's lexsort and this
+sort may order NaNs differently.  ``ganns_search`` rejects non-finite
 queries before dispatch; non-finite *points* stay outside the contract
 (every dataset loader and generator in this repo produces finite ones).
 
@@ -59,18 +61,11 @@ from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable
 from repro.gpusim.memory import SharedMemoryBudget
-from repro.perf.arena import get_arena, get_rerank_scratch
+from repro.perf.arena import get_arena
 from repro.perf.distance import make_distance_engine
+from repro.perf.ordering import pair_argsort
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
     quantize_points
-
-#: Batch width at which the merge switches from the rank strategy (few
-#: NumPy calls, O(l_n * l_t) element work) to the step strategy
-#: (l_n * ~8 calls, O(l_n + l_t) element work).  Both are exact; this
-#: only trades constant factors — measured on l_n=64/l_t=16 shapes the
-#: curves cross between m=64 (rank 1.6x faster) and m=256 (step 1.1x
-#: faster).
-_STEP_MERGE_MIN_ROWS = 128
 
 
 def _traverse(graph: ProximityGraph, engine, arena, tracker,
@@ -125,8 +120,6 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
 
     iterations = np.zeros(n_queries, dtype=np.int64)
     max_iterations = _MAX_ITERATION_FACTOR * e_budget + 256
-    col_a = np.arange(l_pool, dtype=np.int64)
-    col_b = np.arange(l_t, dtype=np.int64)
     # Row keys for the flat duplicate probe: id ranges per row must not
     # overlap; ids live in [-1, n_vertices - 1] so a stride of
     # n_vertices + 2 keeps rows strictly separated.
@@ -195,180 +188,27 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         t_dists[dead] = np.inf
         t_ids[dead] = -1
 
-        # Phases 5+6 fast-outs.  Rows whose T is entirely invalidated
-        # merge nothing: every T record is a (+inf, -1) pad, which loses
-        # to the pool's own padding under the tie rule, so sorting and
-        # merging them is the identity on the pool.  The cycle charges
-        # are still issued with the full lane sets (the simulated kernel
-        # runs the network regardless); only the host-side work is
-        # skipped.  In converged iterations T is mostly duplicates, so
-        # these paths carry the long tail of the search.
-        row_live = ~dead.all(axis=1)
-        n_live = int(np.count_nonzero(row_live))
-        if n_live == 0:
-            tracker.charge("sorting", sort_cost, act)
-            tracker.charge("candidate_update", merge_cost, act)
-            continue
-        if n_live < min(m, _STEP_MERGE_MIN_ROWS):
-            # Few live rows: sort and rank-merge just those, scattering
-            # the merged pools back in place (no buffer swap, so the
-            # untouched rows stay valid).  Same rank arithmetic as the
-            # narrow-batch merge below — a bijection onto the merged
-            # positions, pool wins ties.
-            sub = np.flatnonzero(row_live)
-            t_d = t_dists[sub]
-            t_i = t_ids[sub]
-            tracker.charge("sorting", sort_cost, act)
-            order = np.lexsort((t_i, t_d), axis=1)
-            t_d = np.take_along_axis(t_d, order, axis=1)
-            t_i = np.take_along_axis(t_i, order, axis=1)
-            tracker.charge("candidate_update", merge_cost, act)
-            a_dist = arena.pool_dists[sub]
-            a_id = arena.pool_ids[sub]
-            a_exp = arena.pool_explored[sub]
-            b_before_a = ((t_d[:, None, :] < a_dist[:, :, None])
-                          | ((t_d[:, None, :] == a_dist[:, :, None])
-                             & (t_i[:, None, :] < a_id[:, :, None])))
-            a_rank = col_a + b_before_a.sum(axis=2)
-            b_rank = col_b + l_pool - b_before_a.sum(axis=1)
-            keep_a = a_rank < l_pool
-            keep_b = b_rank < l_pool
-            merged_d = np.empty_like(a_dist)
-            merged_i = np.empty_like(a_id)
-            merged_e = np.empty_like(a_exp)
-            srow = np.broadcast_to(
-                np.arange(n_live, dtype=np.int64)[:, None], keep_a.shape)
-            merged_d[srow[keep_a], a_rank[keep_a]] = a_dist[keep_a]
-            merged_i[srow[keep_a], a_rank[keep_a]] = a_id[keep_a]
-            merged_e[srow[keep_a], a_rank[keep_a]] = a_exp[keep_a]
-            srow_b = np.broadcast_to(
-                np.arange(n_live, dtype=np.int64)[:, None], keep_b.shape)
-            merged_d[srow_b[keep_b], b_rank[keep_b]] = t_d[keep_b]
-            merged_i[srow_b[keep_b], b_rank[keep_b]] = t_i[keep_b]
-            merged_e[srow_b[keep_b], b_rank[keep_b]] = t_i[keep_b] < 0
-            arena.pool_dists[sub] = merged_d
-            arena.pool_ids[sub] = merged_i
-            arena.pool_explored[sub] = merged_e
-            continue
-
-        # Phase 5 — sort T by (distance, id).  Records with equal keys
-        # are identical (+inf, -1) pads, so any (dist, id) sort yields
-        # the reference's exact T sequence.
+        # Phases 5+6 — one stable (dist, id) sort of each [pool | T]
+        # row; its first l_pool records are the new pool.  Stability
+        # keeps the pool copy ahead of an equal T copy, the oracle's
+        # lexsort tie rule.  Rows whose T is all (+inf, -1) pads sort
+        # to the identity and are skipped (most rows, once converged);
+        # the charges still cover every lane, as in the oracle.
         tracker.charge("sorting", sort_cost, act)
-        order = np.lexsort((t_ids, t_dists), axis=1)
-        t_dists = np.take_along_axis(t_dists, order, axis=1)
-        t_ids_sorted = np.take_along_axis(t_ids, order, axis=1)
-
-        # Phase 6 — candidate update: merge the two sorted runs into the
-        # alternate pool buffer.  Both strategies below reproduce the
-        # reference lexsort's stability exactly (pool wins ties on equal
-        # (dist, id)); they differ only in constant factors, so the
-        # batch width picks:
-        #
-        # - wide batches: a two-pointer step merge — l_n vectorised
-        #   steps of O(m) work each, linear in l_n + l_t;
-        # - narrow batches (the long tail where a few slow queries keep
-        #   iterating): a rank merge — each record's merged position is
-        #   its run index plus the count of strictly-preceding records
-        #   in the other run, one broadcast comparison for the whole
-        #   batch.  Quadratic in l_n * l_t but a dozen NumPy calls
-        #   total, which is what matters when m is tiny.
-        #
-        # Keys form a total order (no NaNs; see module docstring), so in
-        # the rank merge the T-side count is the complement of the
-        # pool-side one, and ranks are a bijection onto the merged
-        # positions — every output slot below l_n is written exactly
-        # once.
         tracker.charge("candidate_update", merge_cost, act)
-        if m >= _STEP_MERGE_MIN_ROWS:
-            # Flat views + flat cursors: every gather is a 1-D ``take``
-            # (cheaper than pairwise fancy indexing), and the padded T
-            # run's sentinel column means the B cursor never needs a
-            # bounds check — the sentinel loses every comparison, even
-            # against the pool's own (+inf, -1) padding.
-            pd_flat = arena.pool_dists.ravel()
-            pi_flat = arena.pool_ids.ravel()
-            pe_flat = arena.pool_explored.ravel()
-            arena.t_dists_pad[:m, :l_t] = t_dists
-            arena.t_ids_pad[:m, :l_t] = t_ids_sorted
-            td_flat = arena.t_dists_pad.ravel()
-            ti_flat = arena.t_ids_pad.ravel()
-            fa = arena.merge_fa[:m]
-            fb = arena.merge_fb[:m]
-            fa[:] = arena.row_base_a[:m]
-            fb[:] = arena.row_base_b[:m]
-            tmp_d = arena.out_dists
-            tmp_i = arena.out_ids
-            tmp_e = arena.out_explored
-            filled = l_pool
-            for out_slot in range(l_pool):
-                a_dist = pd_flat.take(fa)
-                a_id = pi_flat.take(fa)
-                b_dist = td_flat.take(fb)
-                b_id = ti_flat.take(fb)
-                take_a = ((a_dist < b_dist)
-                          | ((a_dist == b_dist) & (a_id <= b_id)))
-                tmp_d[out_slot, :m] = np.where(take_a, a_dist, b_dist)
-                tmp_i[out_slot, :m] = np.where(take_a, a_id, b_id)
-                tmp_e[out_slot, :m] = np.where(
-                    take_a, pe_flat.take(fa), b_id < 0)
-                fa += take_a
-                fb += ~take_a
-                # Every fourth slot, test whether the tail can still
-                # change: if each row's last reachable pool record wins
-                # against that row's current T record, every remaining
-                # output is a straight run of pool entries (both runs
-                # are sorted, ties go to the pool) — one bulk gather
-                # finishes the merge.  In converged iterations T is
-                # mostly duplicates, so this fires almost immediately.
-                if (out_slot & 3) == 3 and out_slot + 1 < l_pool:
-                    rem = l_pool - 1 - out_slot
-                    tail = fa + (rem - 1)
-                    a_dist = pd_flat.take(tail)
-                    a_id = pi_flat.take(tail)
-                    b_dist = td_flat.take(fb)
-                    b_id = ti_flat.take(fb)
-                    pure_a = ((a_dist < b_dist)
-                              | ((a_dist == b_dist) & (a_id <= b_id)))
-                    if pure_a.all():
-                        idx = fa[:, None] + col_a[:rem]
-                        arena.pool_dists[:m, out_slot + 1:] = \
-                            pd_flat.take(idx)
-                        arena.pool_ids[:m, out_slot + 1:] = \
-                            pi_flat.take(idx)
-                        arena.pool_explored[:m, out_slot + 1:] = \
-                            pe_flat.take(idx)
-                        filled = out_slot + 1
-                        break
-            # The merged head lands back in the (live) pool buffers —
-            # the wide path never swaps.
-            arena.pool_dists[:m, :filled] = tmp_d[:filled, :m].T
-            arena.pool_ids[:m, :filled] = tmp_i[:filled, :m].T
-            arena.pool_explored[:m, :filled] = tmp_e[:filled, :m].T
-        else:
-            a_dist = arena.pool_dists[:m]
-            a_id = arena.pool_ids[:m]
-            b_before_a = ((t_dists[:, None, :] < a_dist[:, :, None])
-                          | ((t_dists[:, None, :] == a_dist[:, :, None])
-                             & (t_ids_sorted[:, None, :]
-                                < a_id[:, :, None])))
-            a_rank = col_a + b_before_a.sum(axis=2)
-            b_rank = col_b + l_pool - b_before_a.sum(axis=1)
-            keep_a = a_rank < l_pool
-            keep_b = b_rank < l_pool
-            mrows = np.broadcast_to(arena.rows[:m, None], keep_a.shape)
-            alt_d, alt_i = arena.alt_dists, arena.alt_ids
-            alt_e = arena.alt_explored
-            alt_d[mrows[keep_a], a_rank[keep_a]] = a_dist[keep_a]
-            alt_i[mrows[keep_a], a_rank[keep_a]] = a_id[keep_a]
-            alt_e[mrows[keep_a], a_rank[keep_a]] = \
-                arena.pool_explored[:m][keep_a]
-            mrows_b = np.broadcast_to(arena.rows[:m, None], keep_b.shape)
-            t_explored = t_ids_sorted < 0
-            alt_d[mrows_b[keep_b], b_rank[keep_b]] = t_dists[keep_b]
-            alt_i[mrows_b[keep_b], b_rank[keep_b]] = t_ids_sorted[keep_b]
-            alt_e[mrows_b[keep_b], b_rank[keep_b]] = t_explored[keep_b]
-            arena.swap_pools()
+        live = np.flatnonzero(~dead.all(axis=1))
+        if len(live) == 0:
+            continue
+        cat_d = np.concatenate((arena.pool_dists[live], t_dists[live]),
+                               axis=1)
+        cat_i = np.concatenate((arena.pool_ids[live], t_ids[live]), axis=1)
+        cat_e = np.concatenate((arena.pool_explored[live],
+                                t_ids[live] < 0), axis=1)
+        order = pair_argsort(cat_d, cat_i)[:, :l_pool]
+        arena.pool_dists[live] = np.take_along_axis(cat_d, order, axis=1)
+        arena.pool_ids[live] = np.take_along_axis(cat_i, order, axis=1)
+        arena.pool_explored[live] = np.take_along_axis(cat_e, order,
+                                                       axis=1)
 
     return iterations, n_distance_computations
 
@@ -462,9 +302,8 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     table = quantize_points(points, quant_mode, graph.metric_name)
     engine = QuantizedGroupEngine(table, queries)
     arena = get_arena(n_queries, l_q, l_t, _STAGED_TRAVERSAL_DTYPE)
-    scratch = get_rerank_scratch(n_queries, l_q)
-    pool_ids = scratch.pool_ids[:n_queries]
-    pool_dists = scratch.pool_dists[:n_queries]
+    pool_ids = np.empty((n_queries, l_q), dtype=np.int64)
+    pool_dists = np.empty((n_queries, l_q), dtype=_STAGED_TRAVERSAL_DTYPE)
 
     iterations, n_distance_computations = _traverse(
         graph, engine, arena, tracker, costs,
@@ -489,7 +328,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     n_distance_computations += int(valid.sum())
     tracker.charge("sorting", costs.bitonic_sort_cycles(l_q, n_t),
                    all_rows)
-    order = np.lexsort((pool_ids, exact_dists), axis=1)[:, :k]
+    order = pair_argsort(exact_dists, pool_ids)[:, :k]
     out_ids = np.take_along_axis(pool_ids, order, axis=1)
     out_dists = np.ascontiguousarray(
         np.take_along_axis(exact_dists, order, axis=1),

@@ -23,6 +23,7 @@ from repro.mutable import (
     recover,
     run_mutation_sim,
 )
+from repro.mutable.wal import OP_INSERT
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.span import SpanTracer
 
@@ -180,6 +181,40 @@ class TestRecoveryMechanics:
         (span,) = tracer.find("recovery.replay")
         assert span.attributes["n_replayed"] == 2
         assert span.attributes["from_checkpoint"] == 0
+
+
+class TestNonFiniteInput:
+    """NaN/±inf points never reach the WAL, and never replay from it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_insert_leaves_store_and_index_unchanged(self, bad):
+        index = _mutated_index()
+        n_records = len(index.store.surviving_records())
+        n_slots = index.n_slots
+        digest = index.digest()
+        batch = _corpus(4, seed=9)
+        batch[2, 1] = bad
+        with pytest.raises(MutableIndexError, match="non-finite"):
+            index.insert(batch, now=3.0)
+        assert len(index.store.surviving_records()) == n_records
+        assert index.n_slots == n_slots
+        assert index.digest() == digest
+        assert recover(index.store).digest() == digest
+
+    def test_build_rejects_non_finite_seed_corpus(self):
+        corpus = _corpus()
+        corpus[5, 0] = np.nan
+        with pytest.raises(MutableIndexError, match="non-finite"):
+            MutableIndex.build(corpus, PARAMS)
+
+    def test_recovery_names_the_poisoned_record(self):
+        index = _mutated_index()
+        poison = _corpus(2, seed=9)
+        poison[0, 0] = np.inf
+        record = index.store.append(OP_INSERT, 3.0, points=poison)
+        with pytest.raises(MutableIndexError,
+                           match=f"LSN {record.lsn} "):
+            recover(index.store)
 
 
 class TestSimulatedChaosWorkload:

@@ -93,7 +93,18 @@ class TestSearchEquivalence:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "ip"])
     @pytest.mark.parametrize("lazy_check", [True, False])
     def test_ids_cycles_and_counts_match(self, metric, lazy_check):
-        graph, points, queries = _graph_and_data(metric)
+        self._check_batch(metric, lazy_check, m=24)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "ip"])
+    @pytest.mark.parametrize("lazy_check", [True, False])
+    def test_wide_batch_ids_cycles_and_counts_match(self, metric,
+                                                    lazy_check):
+        # More than 128 live rows per merge: the wide-batch regime.
+        self._check_batch(metric, lazy_check, m=160)
+
+    @staticmethod
+    def _check_batch(metric, lazy_check, m):
+        graph, points, queries = _graph_and_data(metric, m=m)
         params = SearchParams(k=10, l_n=32, e=24)
         ref = ganns_search_reference(graph, points, queries, params,
                                      lazy_check=lazy_check)

@@ -1,12 +1,13 @@
 """Hypothesis property test: ``ganns_search`` == its oracle, always.
 
 One composite strategy draws a whole randomised workload — dataset
-seed and size, metric, compute dtype, pool shape, entry scheme, lazy
-check — and the single property is the oracle contract of
-``ganns_search`` against ``ganns_search_reference``: identical ids,
-iterations and per-phase cycle charges, distances within dtype
-tolerance.  Well-separated Gaussian data (not raw hypothesis arrays)
-keeps the workloads representative of what the kernels actually see.
+seed and size, duplicate points, metric, compute dtype, pool shape,
+entry scheme, lazy check — and the single property is the oracle
+contract of ``ganns_search`` against ``ganns_search_reference``:
+identical ids, iterations and per-phase cycle charges, distances
+within dtype tolerance.  Well-separated Gaussian data (not raw
+hypothesis arrays) keeps the workloads representative of what the
+kernels actually see.
 """
 
 import numpy as np
@@ -35,9 +36,16 @@ def backend_workload(draw):
                        st.integers(min_value=1, max_value=l_n)))
     lazy_check = draw(st.booleans())
     per_query_entries = draw(st.booleans())
+    duplicate_points = draw(st.booleans())
 
     points = gaussian_mixture(n, dims, n_clusters=4, cluster_std=0.3,
                               intrinsic_dim=min(4, dims), seed=seed)
+    if duplicate_points:
+        # Exact copies give distinct ids exactly equal distances, so the
+        # (dist, id) tie rule decides their order in every merge.
+        copies = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                               min_size=1, max_size=n // 2))
+        points = np.concatenate([points, points[copies]])
     queries = gaussian_mixture(n_queries, dims, n_clusters=4,
                                cluster_std=0.3,
                                intrinsic_dim=min(4, dims), seed=seed + 1)
